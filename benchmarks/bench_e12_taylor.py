@@ -11,10 +11,11 @@ the polynomial every call.  This benchmark measures, across an
   PR-1 state) against the fused block kernel the packed view now selects
   (``PackedGramFactors.taylor_kernel`` — Gram-space, densified, sparse, or
   factor recurrence, whichever the measured-cost policy picks), plus their
-  agreement (same polynomial — must match to ~1e-12);
-* the end-to-end wall clock of ``decision_psdp`` with
-  ``FastDotExpOracle(blocked=...)`` on both paths, checking the certified
-  decisions are identical on fixed seeds.
+  agreement (same polynomial — must match to ~1e-12).
+
+The per-term recurrence is the reference the supervisor's ``"reference"``
+recovery rung still runs, so this baseline is kept code, not a path kept
+alive only for the comparison.
 
 Results are printed as a table and emitted machine-readably to
 ``BENCH_taylor.json`` at the repository root (override with ``--output``).
@@ -32,7 +33,6 @@ from __future__ import annotations
 
 import os
 import sys
-import time
 
 import numpy as np
 
@@ -49,8 +49,6 @@ from common import (  # noqa: E402
     DEFAULT_RANK,
     DEFAULT_SPARSE_DENSITY,
 )
-from repro.core.decision import decision_psdp  # noqa: E402
-from repro.core.dotexp import FastDotExpOracle  # noqa: E402
 from repro.linalg.taylor import taylor_degree, taylor_expm_apply  # noqa: E402
 
 DEFAULT_OUTPUT = os.path.join(
@@ -75,7 +73,6 @@ ORACLE_EPS = 0.1
 #: mid-run spectral-norm bound used for the microbenchmark degree — the
 #: decision solver's Psi reaches well past this before terminating.
 TAYLOR_KAPPA = 8.0
-DECISION_CAP = 40
 
 
 def bench_taylor_block(ops, n: int, m: int, repeats: int, seed: int) -> dict:
@@ -115,42 +112,14 @@ def bench_taylor_block(ops, n: int, m: int, repeats: int, seed: int) -> dict:
     }
 
 
-def bench_decision(ops, n: int, m: int, seed: int, cap: int) -> dict:
-    """End-to-end decision latency with the blocked kernel on/off."""
-    results = {}
-    for label, blocked in (("old", False), ("new", True)):
-        coll = fresh_collection(ops)
-        oracle = FastDotExpOracle(coll, eps=ORACLE_EPS, rng=seed, blocked=blocked)
-        start = time.perf_counter()
-        result = decision_psdp(
-            coll, epsilon=0.2, oracle=oracle, max_iterations=cap, rng=seed
-        )
-        results[label] = {
-            "seconds": time.perf_counter() - start,
-            "outcome": result.outcome.name,
-            "iterations": result.iterations,
-        }
-    return {
-        "old_seconds": results["old"]["seconds"],
-        "new_seconds": results["new"]["seconds"],
-        "speedup": results["old"]["seconds"] / max(results["new"]["seconds"], 1e-12),
-        "outcome_old": results["old"]["outcome"],
-        "outcome_new": results["new"]["outcome"],
-        "iterations_old": results["old"]["iterations"],
-        "iterations_new": results["new"]["iterations"],
-    }
-
-
 def main(argv=None) -> int:
     """Run the E12 grid and return the process exit code."""
     args = make_argparser(__doc__.splitlines()[0], DEFAULT_OUTPUT).parse_args(argv)
 
     grid = QUICK_GRID if args.quick else FULL_GRID
     repeats = 2 if args.quick else 5
-    cap = 10 if args.quick else DECISION_CAP
 
     taylor_rows = []
-    decision_rows = []
     for n, m, kind in grid:
         ops = make_operators(n, m, kind, args.seed)
         q = sum(op.nnz for op in ops)
@@ -165,14 +134,6 @@ def main(argv=None) -> int:
             f"err={row['max_abs_err']:.2e}"
         )
 
-        row = {**base, **bench_decision(ops, n, m, args.seed, cap)}
-        decision_rows.append(row)
-        print(
-            f"[decision] n={n:4d} m={m:4d} {kind:6s} "
-            f"old={row['old_seconds']:8.3f}s  new={row['new_seconds']:7.3f}s  "
-            f"speedup={row['speedup']:6.1f}x outcomes={row['outcome_old']}/{row['outcome_new']}"
-        )
-
     payload = {
         "experiment": "E12-taylor",
         "description": "blocked/fused Taylor kernel vs per-term matvec recurrence",
@@ -182,13 +143,11 @@ def main(argv=None) -> int:
             "sparse_density": DEFAULT_SPARSE_DENSITY,
             "oracle_eps": ORACLE_EPS,
             "taylor_kappa": TAYLOR_KAPPA,
-            "decision_iteration_cap": cap,
             "repeats": repeats,
             "seed": args.seed,
         },
         "environment": environment_info(),
         "taylor_block": taylor_rows,
-        "decision": decision_rows,
     }
     emit_payload(payload, args.output)
 
@@ -204,12 +163,6 @@ def main(argv=None) -> int:
         ):
             failures.append(
                 f"taylor speedup {row['speedup']:.1f}x < 3x at n={row['n']}, m={row['m']}"
-            )
-    for row in decision_rows:
-        if row["outcome_old"] != row["outcome_new"]:
-            failures.append(
-                f"decision outcome diverged ({row['outcome_old']} vs "
-                f"{row['outcome_new']}) at n={row['n']}, m={row['m']}"
             )
     return report_failures(failures)
 

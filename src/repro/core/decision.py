@@ -143,8 +143,8 @@ class DecisionOptions:
         Representation of the solver's weight matrix
         (:mod:`repro.core.psi_state`): ``"auto"`` (default) picks the
         matrix-free implicit state when the oracle declares
-        ``needs_dense_psi = False``, carries a packed factor view, and the
-        collection's factors are exact, falling back to the dense seed
+        ``needs_dense_psi = False`` and the collection's factors are
+        exact, falling back to the dense seed
         semantics otherwise; ``"dense"``/``"implicit"`` force one (the
         latter raises on inexact-factor collections).
     supervise:
@@ -273,9 +273,11 @@ def resolve_decision_options(
 ) -> DecisionOptions:
     """Merge the ``(epsilon, options, **overrides)`` calling convention.
 
-    Shared by :func:`decision_psdp` and :func:`repro.core.batch.solve_many`
-    so a batched solve resolves its options (including override validation
-    and the no-mutation copy semantics) exactly like a sequential one.
+    Shared by :func:`decision_psdp`,
+    :func:`repro.core.decision_phased.decision_psdp_phased` and
+    :func:`repro.core.batch.solve_many` so every entry point resolves its
+    options (including override validation and the no-mutation copy
+    semantics) exactly alike.
     """
     opts = options or DecisionOptions()
     if overrides:
@@ -340,19 +342,14 @@ def decision_psdp(
 
     Notes
     -----
-    String oracles (``"exact"``/``"fast"``) are built with the batched fast
-    paths enabled: the packed single-GEMM estimate pass (``packed=True``),
-    the fused blocked Taylor kernel (``blocked=True``), and the exact
-    oracle's packed trace products (``batched=True``).  To run a reference
-    path instead — e.g. for regression comparisons — construct the oracle
+    String oracles (``"exact"``/``"fast"``) are built by
+    :func:`~repro.core.dotexp.make_oracle`.  To configure one further —
+    e.g. a forced trace mode or a chunked Taylor apply — construct it
     explicitly and pass it as ``options.oracle``::
 
         oracle = FastDotExpOracle(constraints, eps=0.05, rng=0,
-                                  packed=False)   # seed per-factor loop
+                                  trace_mode="identity")
         decision_psdp(constraints, epsilon=0.2, oracle=oracle)
-
-    All fast-path/reference pairs certify identical decisions on fixed
-    seeds (see ``tests/test_decision_packed_regressions.py``).
     """
     opts = resolve_decision_options(epsilon, options, overrides)
 

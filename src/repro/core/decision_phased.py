@@ -38,7 +38,6 @@ the phase-less solver.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from typing import Any
 
@@ -55,7 +54,12 @@ from repro.core.checkpoint import (
     capture_checkpoint,
     restore_checkpoint,
 )
-from repro.core.decision import DecisionOptions, DecisionParameters, _resolve_constraints
+from repro.core.decision import (
+    DecisionOptions,
+    DecisionParameters,
+    _resolve_constraints,
+    resolve_decision_options,
+)
 from repro.core.dotexp import make_oracle, oracle_engine_metadata
 from repro.core.problem import NormalizedPackingSDP
 from repro.core.psi_state import make_psi_state
@@ -91,17 +95,7 @@ def decision_psdp_phased(
         interrupted phase exactly where it stopped — bit-identically to an
         uninterrupted run on the same seed.
     """
-    opts = options or DecisionOptions()
-    if overrides:
-        valid = {f.name for f in opts.__dataclass_fields__.values()}  # type: ignore[attr-defined]
-        unknown = set(overrides) - valid
-        if unknown:
-            raise TypeError(f"unknown decision options: {sorted(unknown)}")
-        opts = DecisionOptions(**{**opts.__dict__, **overrides})
-    if epsilon is not None:
-        # Copy before overriding: the caller's options object must not be
-        # silently mutated across calls (mirrors decision_psdp).
-        opts = dataclasses.replace(opts, epsilon=float(epsilon))
+    opts = resolve_decision_options(epsilon, options, overrides)
 
     constraints = _resolve_constraints(problem)
     eps = float(opts.epsilon)

@@ -479,11 +479,10 @@ def make_psi_state(
         The solver's oracle.  ``mode="auto"`` selects the implicit state
         exactly when the oracle declares it never consumes a dense ``psi``
         (``needs_dense_psi = False``, e.g.
-        :class:`~repro.core.dotexp.FastDotExpOracle`), it carries a packed
-        factor view, and the collection's factors are exact; every other
-        combination — the exact oracle, the ``packed=False`` reference
-        path, eigh-derived factors, user oracles without the attribute —
-        keeps the dense seed semantics.
+        :class:`~repro.core.dotexp.FastDotExpOracle`) and the collection's
+        factors are exact; every other combination — the exact oracle,
+        eigh-derived factors, user oracles without the attribute — keeps
+        the dense seed semantics.
     mode:
         ``"auto"`` (default), ``"dense"``, or ``"implicit"`` (which raises
         when the collection's factors are inexact).
@@ -496,7 +495,6 @@ def make_psi_state(
         implicit_ok = (
             oracle is not None
             and getattr(oracle, "needs_dense_psi", True) is False
-            and getattr(oracle, "packed", None) is not None
             and constraints.has_exact_factors
         )
         mode = "implicit" if implicit_ok else "dense"

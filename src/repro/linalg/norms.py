@@ -276,10 +276,12 @@ def top_eigenvalue(
     tol:
         Convergence tolerance of the iterative estimators.
     rng:
-        Randomness source for the power-iteration fallback's start vector.
-        Callers that also consume randomness elsewhere should pass a
-        *spawned* generator so eigenvalue estimation cannot perturb other
-        streams (see the decision solver's usage).
+        Randomness source for the Lanczos start vector when ``v0`` is not
+        given (and hence for the power-iteration fallback's).  Equal seeds
+        give equal results.  Callers that also consume randomness
+        elsewhere should pass a *spawned* generator so eigenvalue
+        estimation cannot perturb other streams (see the decision solver's
+        usage).
     dense_cutoff:
         Dimension at or below which the exact dense ``eigvalsh`` is used.
     maxiter:
@@ -291,8 +293,9 @@ def top_eigenvalue(
         dozens to a handful.  Unlike power iteration, Lanczos convergence
         is certified by the Ritz residual rather than Rayleigh-quotient
         stagnation, so a stale ``v0`` costs extra sweeps but cannot silently
-        return the wrong eigenvalue.  ``None`` keeps ARPACK's own
-        (deterministic) starting residual.
+        return the wrong eigenvalue.  ``None`` (or a non-finite / zero
+        vector) draws a Gaussian start from ``rng``; ARPACK's own start
+        would come from OS entropy and vary between runs.
     return_vector:
         When ``True`` return ``(value, vector)`` where ``vector`` is the
         converged top eigenvector (the warm start for the next call), or
@@ -367,6 +370,8 @@ def top_eigenvalue(
             raise ValueError(f"v0 must have length {dim}, got {v0.shape[0]}")
         if not np.isfinite(v0).all() or float(np.linalg.norm(v0)) <= 1e-300:
             v0 = None
+    if v0 is None:
+        v0 = as_generator(rng).standard_normal(dim)
     fault_hook("lanczos")
     try:
         vals, vecs = spla.eigsh(operator, k=1, which="LA", tol=tol, v0=v0)

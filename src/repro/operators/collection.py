@@ -26,16 +26,15 @@ construction: factorized, low-rank, diagonal representations) —
 single GEMM plus a segment reduction instead of an ``n``-term Python
 loop.  Dense/sparse operators, whose factors come from a truncated
 eigendecomposition, never reroute the reference operations (the fast
-oracle may still use their packed factors, exactly as the seed per-factor
-loop did).  The packed path charges the same ``O(q)`` work (``q`` = total
-factor nonzeros) and polylogarithmic depth in the cost model; only the
-wall-clock constants change.  The view is built lazily because deriving
-Gram factors of dense operators costs one eigendecomposition each —
-callers that never ask for the packed view never pay it, and the
-reference loop remains the bit-exact baseline the packed results are
-tested against.  Both oracles now request the view when the factors are
-exact (the fast oracle always packs; the exact oracle packs for its
-batched trace-product pass unless constructed with ``batched=False``).
+oracle still uses their packed factors).  The packed path charges the same
+``O(q)`` work (``q`` = total factor nonzeros) and polylogarithmic depth in
+the cost model; only the wall-clock constants change.  The view is built
+lazily because deriving Gram factors of dense operators costs one
+eigendecomposition each — callers that never ask for the packed view never
+pay it, and the reference loop remains the bit-exact baseline the packed
+results are tested against.  The fast oracle always packs; the exact
+oracle packs for its batched trace-product pass when the factors are
+exact.
 
 The packed view also carries the rank-adaptive Taylor machinery: its
 weight-independent artifacts (the ``R x R`` Gram matrix ``Q^T Q``, the

@@ -28,8 +28,7 @@ In the work–depth model the packed primitives charge the same ``O(q)`` work
 as the reference loop (``q`` = total factor nonzeros, the Corollary 1.2 work
 parameter) with polylogarithmic depth — the packing changes the constants,
 not the asymptotics.  In wall-clock terms it replaces ``O(n)`` interpreted
-iterations with one BLAS-3 call, which is where the order-of-magnitude
-speedups measured by ``benchmarks/bench_e11_packed.py`` come from.
+iterations with one BLAS-3 call.
 
 Sparse factors are supported: when the stacked matrix would be sparse the
 packing keeps a CSR/CSC pair and the same primitives run through
@@ -437,8 +436,7 @@ class PackedGramFactors:
         Gram-space, densified ``Psi``, sparse-CSR ``Psi``, or the factor
         recurrence — is picked per stack by
         :func:`~repro.linalg.taylor_gram.select_taylor_mode` (``mode=``
-        forces one, ``"legacy"`` keeps the PR-2 blocked kernel with its
-        ``2R > m`` densification rule).  Weight-independent artifacts (the
+        forces one).  Weight-independent artifacts (the
         Gram matrix, the sparse-``Psi`` pattern) are cached on the stack,
         but no weight-dependent state is carried across calls — use
         :meth:`taylor_engine` for the incremental cross-iteration path.
@@ -446,10 +444,6 @@ class PackedGramFactors:
         from repro.linalg.taylor_blocked import BlockedTaylorKernel
 
         col_w = self.expand_weights(weights)
-        if mode == "legacy":
-            return BlockedTaylorKernel(
-                self._q, col_w, chunk_columns=chunk_columns, backend=self.backend
-            )
         if mode == "auto":
             mode = self.auto_taylor_mode()
         if mode == "gram":

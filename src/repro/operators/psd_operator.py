@@ -89,10 +89,10 @@ class PSDOperator(abc.ABC):
           reroutes ``weighted_sum``/``dots``/``traces`` through the packed
           view only when *every* operator reports ``True``;
         * :class:`~repro.core.dotexp.ExactDotExpOracle` builds the packed
-          view for its batched trace-product pass under the same condition
-          (``batched=True``), keeping the per-constraint loop otherwise;
+          view for its batched trace-product pass under the same condition,
+          keeping the per-constraint loop otherwise;
         * the fast oracle's sketched estimates use packed factors
-          regardless, exactly as the seed per-factor loop did.
+          regardless.
         """
         return False
 

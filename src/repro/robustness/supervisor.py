@@ -260,10 +260,7 @@ class FastPathSupervisor:
         if packed is None or not getattr(oracle, "blocked", False):
             return None  # already on the reference path (or not a fast oracle)
         engine = getattr(oracle, "_engine", None)
-        if getattr(oracle, "engine", False):
-            current = engine.mode if engine is not None else packed.auto_taylor_mode()
-        else:
-            current = "legacy"
+        current = engine.mode if engine is not None else packed.auto_taylor_mode()
         ladder = ["gram"]
         if getattr(packed, "is_sparse", False):
             ladder.append("sparse-psi")
@@ -271,7 +268,7 @@ class FastPathSupervisor:
         try:
             start = ladder.index(current) + 1
         except ValueError:
-            # legacy / factor-recurrence modes have no intermediate rung.
+            # Factor-recurrence modes have no intermediate rung.
             start = len(ladder)
         for mode in ladder[start:]:
             from repro.linalg.taylor_gram import TaylorEngine
@@ -281,11 +278,9 @@ class FastPathSupervisor:
                 chunk_columns=getattr(oracle, "taylor_chunk_columns", None),
                 mode=mode,
             )
-            oracle.engine = True
             return (current, mode)
-        # Floor: the legacy per-term reference apply through the factored
-        # matvec (blocked=False also disengages the structured tracer).
-        oracle.engine = False
+        # Floor: the per-term reference apply through the factored matvec
+        # (blocked=False also disengages the structured tracer).
         oracle.blocked = False
         oracle._engine = None
         return (current, "reference")

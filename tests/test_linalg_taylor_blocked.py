@@ -244,22 +244,11 @@ class TestBigDotExpKernelPath:
         packed = coll.packed()
         x = np.random.default_rng(63).random(len(coll)) / len(coll)
         phi = coll.weighted_sum(x)
-        reference = big_dot_exp(phi, coll.gram_factors(), kappa=2.0, eps=0.2, use_sketch=False)
+        reference = big_dot_exp(
+            packed.matvec_fn(x), packed, kappa=2.0, eps=0.2, use_sketch=False, dim=coll.dim
+        )
         fused = big_dot_exp(phi, packed, kappa=2.0, eps=0.2, use_sketch=False)
         np.testing.assert_allclose(fused, reference, rtol=1e-9, atol=1e-12)
-
-    def test_oracle_blocked_matches_unblocked_values(self):
-        x = np.random.default_rng(64).random(10) / 10
-        outputs = {}
-        for blocked in (True, False):
-            coll = self._collection()
-            oracle = FastDotExpOracle(coll, eps=0.1, rng=17, packed=True, blocked=blocked)
-            outputs[blocked] = oracle(np.zeros((coll.dim, coll.dim)), x)
-        np.testing.assert_allclose(
-            outputs[True].values, outputs[False].values, rtol=1e-8, atol=1e-12
-        )
-        assert outputs[True].trace == pytest.approx(outputs[False].trace, rel=1e-8)
-        assert outputs[True].work == outputs[False].work
 
     def test_packed_taylor_kernel_validates_weights(self):
         coll = self._collection()
@@ -273,7 +262,7 @@ class TestBigDotExpKernelPath:
         for chunk in (None, 3):
             coll = self._collection()
             oracle = FastDotExpOracle(
-                coll, eps=0.1, rng=23, packed=True, taylor_chunk_columns=chunk
+                coll, eps=0.1, rng=23, taylor_chunk_columns=chunk
             )
             outputs[chunk] = oracle(np.zeros((coll.dim, coll.dim)), x)
         np.testing.assert_allclose(

@@ -11,6 +11,7 @@ active columns.
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import expm
 import pytest
 import scipy.sparse as sp
 
@@ -429,18 +430,18 @@ class TestOracleIntegration:
         )
         np.testing.assert_allclose(fused, loop, rtol=1e-10, atol=1e-12)
 
-    def test_oracle_engine_matches_legacy_kernel(self):
+    def test_oracle_engine_matches_dense_expm(self):
+        """The Gram-mode engine oracle against dense ``scipy.linalg.expm``:
+        values within the oracle's eps of the exact normalized products."""
+        coll = self._collection()
         x = np.random.default_rng(62).random(10) / 10
-        outputs = {}
-        for engine in (True, False):
-            oracle = FastDotExpOracle(
-                self._collection(), eps=0.1, rng=19, engine=engine
-            )
-            outputs[engine] = oracle(np.zeros((40, 40)), x)
-        np.testing.assert_allclose(
-            outputs[True].values, outputs[False].values, rtol=1e-9, atol=1e-12
-        )
-        assert outputs[True].trace == pytest.approx(outputs[False].trace, rel=1e-9)
+        oracle = FastDotExpOracle(coll, eps=0.1, rng=19)
+        out = oracle(None, x)
+        assert oracle.taylor_engine.mode == "gram"
+        density = expm(coll.weighted_sum(x))
+        exact = np.array([float(np.sum(op.to_dense() * density)) for op in coll.operators])
+        np.testing.assert_allclose(out.values, exact / np.trace(density), rtol=0.1)
+        assert out.trace == pytest.approx(np.trace(density), rel=0.05)
 
     def test_oracle_reuses_engine_across_calls(self):
         coll = self._collection()

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import expm
 
 from repro.exceptions import InvalidProblemError
 from repro.linalg.psd import random_psd
@@ -23,6 +24,7 @@ from repro.operators import (
     PackedGramFactors,
 )
 from repro.operators.packed import segment_sums
+from repro.linalg.taylor import taylor_expm_apply
 from repro.core.dotexp import FastDotExpOracle, big_dot_exp
 
 
@@ -112,11 +114,18 @@ class TestPackedPrimitives:
         )
 
     def test_big_dot_exp_no_sketch_matches_reference(self, mix):
+        """Against dense ``scipy.linalg.expm``: the Lemma 4.2 truncation
+        at ``eps / 2`` is the only error, and it is one-sided."""
         coll, ops, m = mix
         phi = coll.weighted_sum(np.full(len(ops), 1.0 / len(ops)))
-        reference = big_dot_exp(phi, coll.gram_factors(), kappa=2.0, eps=0.1, use_sketch=False)
-        packed_vals = big_dot_exp(phi, coll.packed(), kappa=2.0, eps=0.1, use_sketch=False)
-        np.testing.assert_allclose(packed_vals, reference, rtol=1e-10, atol=1e-10)
+        kappa = max(1.0, float(np.linalg.eigvalsh(phi)[-1]))
+        half = expm(0.5 * phi)
+        reference = np.array(
+            [float(np.sum((half @ q) ** 2)) for q in coll.gram_factors()]
+        )
+        packed_vals = big_dot_exp(phi, coll.packed(), kappa=kappa, eps=0.1, use_sketch=False)
+        np.testing.assert_allclose(packed_vals, reference, rtol=0.05)
+        assert np.all(packed_vals <= reference * (1 + 1e-12))
 
 
 class TestPackedStructure:
@@ -238,19 +247,9 @@ class TestPackedOracle:
             [FactorizedPSDOperator(0.4 * rng.standard_normal((m, 2))) for _ in range(n)]
         )
 
-    def test_packed_oracle_matches_seed_loop(self, rng):
-        coll_packed = self._collection(np.random.default_rng(11))
-        coll_seed = self._collection(np.random.default_rng(11))
-        x = np.abs(rng.random(len(coll_packed))) / len(coll_packed)
-        psi = coll_seed.weighted_sum(x)
-        out_packed = FastDotExpOracle(coll_packed, eps=0.1, rng=5, packed=True)(psi, x)
-        out_seed = FastDotExpOracle(coll_seed, eps=0.1, rng=5, packed=False)(psi, x)
-        np.testing.assert_allclose(out_packed.values, out_seed.values, rtol=1e-6)
-        assert out_packed.trace > 0 and out_seed.trace > 0
-
     def test_packed_oracle_builds_collection_view(self, rng):
         coll = self._collection(rng)
-        oracle = FastDotExpOracle(coll, eps=0.1, rng=5, packed=True)
+        oracle = FastDotExpOracle(coll, eps=0.1, rng=5)
         assert oracle.packed is coll.packed_view
 
     def test_big_dot_exp_return_trace_packed_vs_sequence(self, rng):
@@ -439,7 +438,7 @@ class TestSparseCSRBranches:
         packed, dense = self._sparse_packed()
         weights = rng.random(6)
         block = rng.standard_normal((60, 5))
-        reference = packed.taylor_kernel(weights, mode="legacy").apply(block, 12)
+        reference = taylor_expm_apply(packed.matvec_fn(weights), block, 12)
         for mode in ("sparse-psi", "sparse-factors", "dense-psi", "gram"):
             np.testing.assert_allclose(
                 packed.taylor_kernel(weights, mode=mode).apply(block, 12),

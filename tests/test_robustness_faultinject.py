@@ -105,7 +105,7 @@ class TestChaosRecovery:
 
     def test_multi_rung_descent_to_reference_kernel(self):
         """Persistent faults on every engine rung walk the full ladder down
-        to the reference (legacy per-term) kernel and still certify."""
+        to the reference (per-term) kernel and still certify."""
         coll = gram_collection()
         clean = decision_psdp(coll, epsilon=0.25, oracle="fast", rng=3)
         with inject("taylor_gram.apply", NaN, at_call=1, times=10**6, seed=CHAOS_SEED), \
